@@ -5,75 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classifiers.base import BaseClassifier, register_classifier
-from repro.classifiers.tree import build_tree, tree_predict_proba, _Node
+from repro.classifiers.tree import grow_tree, stack_trees, tree_values
 from repro.exceptions import ValidationError
 from repro.utils.rng import ensure_rng
-
-
-class _RegressionStump:
-    """Depth-limited regression tree on residuals (for gradient boosting)."""
-
-    def __init__(self, max_depth: int, min_leaf: int):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self._root: dict | None = None
-
-    def fit(self, X: np.ndarray, residual: np.ndarray) -> "_RegressionStump":
-        self._root = self._grow(X, residual, 0)
-        return self
-
-    def _grow(self, X: np.ndarray, r: np.ndarray, depth: int) -> dict:
-        node = {"value": float(r.mean()) if r.size else 0.0}
-        if depth >= self.max_depth or X.shape[0] < 2 * self.min_leaf:
-            return node
-        best_gain, best = 1e-12, None
-        total_sum, total_n = r.sum(), r.shape[0]
-        parent_sse_gain = (total_sum**2) / total_n
-        for feat in range(X.shape[1]):
-            order = np.argsort(X[:, feat], kind="stable")
-            sorted_x = X[order, feat]
-            sorted_r = r[order]
-            prefix = np.cumsum(sorted_r)
-            distinct = np.flatnonzero(np.diff(sorted_x) > 0)
-            if distinct.size == 0:
-                continue
-            n_left = distinct + 1
-            valid = (n_left >= self.min_leaf) & (total_n - n_left >= self.min_leaf)
-            if not valid.any():
-                continue
-            cand = distinct[valid]
-            left_sum = prefix[cand]
-            n_l = (cand + 1).astype(float)
-            n_r = total_n - n_l
-            gain = left_sum**2 / n_l + (total_sum - left_sum) ** 2 / n_r - parent_sse_gain
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:
-                best_gain = float(gain[j])
-                pos = cand[j]
-                best = (feat, 0.5 * (sorted_x[pos] + sorted_x[pos + 1]))
-        if best is None:
-            return node
-        feat, thr = best
-        mask = X[:, feat] <= thr
-        node.update(
-            feature=feat,
-            threshold=thr,
-            left=self._grow(X[mask], r[mask], depth + 1),
-            right=self._grow(X[~mask], r[~mask], depth + 1),
-        )
-        return node
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self._root
-            while "feature" in node:
-                node = (
-                    node["left"] if row[node["feature"]] <= node["threshold"]
-                    else node["right"]
-                )
-            out[i] = node["value"]
-        return out
 
 
 @register_classifier
@@ -125,28 +59,28 @@ class GradientBoostingClassifier(BaseClassifier):
         onehot = np.zeros((n, k))
         onehot[np.arange(n), y] = 1.0
         scores = np.zeros((n, k))
-        self._stages: list[list[_RegressionStump]] = []
+        trees = []
         for _ in range(self.n_estimators):
             exp = np.exp(scores - scores.max(axis=1, keepdims=True))
             proba = exp / exp.sum(axis=1, keepdims=True)
             gradient = onehot - proba
             if self.subsample < 1.0:
-                idx = rng.choice(n, size=max(2, int(self.subsample * n)), replace=False)
+                size = min(n, max(2, int(self.subsample * n)))
+                idx = rng.choice(n, size=size, replace=False)
             else:
                 idx = np.arange(n)
-            stage = []
             for c in range(k):
-                stump = _RegressionStump(self.max_depth, min_leaf=1)
-                stump.fit(X[idx], gradient[idx, c])
-                scores[:, c] += self.learning_rate * stump.predict(X)
-                stage.append(stump)
-            self._stages.append(stage)
+                tree = grow_tree(X[idx], gradient[idx, c], "mse", self.max_depth, 2, 1)
+                scores[:, c] += self.learning_rate * tree_values(tree, X)[0, :, 0]
+                trees.append(tree)
+        self._trees, self._roots = stack_trees(trees)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        scores = np.zeros((X.shape[0], self.n_classes_))
-        for stage in self._stages:
-            for c, stump in enumerate(stage):
-                scores[:, c] += self.learning_rate * stump.predict(X)
+        k = self.n_classes_
+        scores = np.zeros((X.shape[0], k))
+        values = tree_values(self._trees, X, self._roots)
+        for stage in values.reshape(self.n_estimators, k, X.shape[0]):
+            scores += self.learning_rate * stage.T
         exp = np.exp(scores - scores.max(axis=1, keepdims=True))
         return exp / exp.sum(axis=1, keepdims=True)
 
@@ -188,15 +122,12 @@ class AdaBoostClassifier(BaseClassifier):
         n, k = X.shape[0], self.n_classes_
         rng = ensure_rng(self.random_state)
         weights = np.full(n, 1.0 / n)
-        self._trees: list[_Node] = []
-        self._alphas: list[float] = []
+        trees, self._alphas = [], []
         for _ in range(self.n_estimators):
             # Weighted resampling approximates weighted impurity fitting.
             idx = rng.choice(n, size=n, replace=True, p=weights)
-            tree = build_tree(
-                X[idx], y[idx], k, self.max_depth, 2, 1, "gini",
-            )
-            pred = np.argmax(tree_predict_proba(tree, X, k), axis=1)
+            tree = grow_tree(X[idx], y[idx], "gini", self.max_depth, 2, 1, k)
+            pred = np.argmax(tree_values(tree, X)[0], axis=1)
             err = float(weights[pred != y].sum())
             if err >= 1.0 - 1.0 / k:
                 continue  # worse than chance; skip stage
@@ -204,17 +135,19 @@ class AdaBoostClassifier(BaseClassifier):
             alpha = self.learning_rate * (np.log((1 - err) / err) + np.log(k - 1))
             weights *= np.exp(alpha * (pred != y))
             weights /= weights.sum()
-            self._trees.append(tree)
+            trees.append(tree)
             self._alphas.append(alpha)
-        if not self._trees:
+        if not trees:
             # Degenerate input: keep one unweighted tree as fallback.
-            self._trees.append(build_tree(X, y, k, self.max_depth, 2, 1, "gini"))
+            trees.append(grow_tree(X, y, "gini", self.max_depth, 2, 1, k))
             self._alphas.append(1.0)
+        self._trees, self._roots = stack_trees(trees)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        scores = np.zeros((X.shape[0], self.n_classes_))
-        for alpha, tree in zip(self._alphas, self._trees):
-            pred = np.argmax(tree_predict_proba(tree, X, self.n_classes_), axis=1)
-            scores[np.arange(X.shape[0]), pred] += alpha
+        n = X.shape[0]
+        scores = np.zeros((n, self.n_classes_))
+        preds = np.argmax(tree_values(self._trees, X, self._roots), axis=2)
+        for alpha, pred in zip(self._alphas, preds):
+            scores[np.arange(n), pred] += alpha
         exp = np.exp(scores - scores.max(axis=1, keepdims=True))
         return exp / exp.sum(axis=1, keepdims=True)

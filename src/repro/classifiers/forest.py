@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classifiers.base import BaseClassifier, register_classifier
-from repro.classifiers.tree import build_tree, tree_predict_proba
+from repro.classifiers.tree import grow_tree, stack_trees, tree_values
 from repro.exceptions import ValidationError
 from repro.utils.rng import ensure_rng, spawn_rng
 
@@ -53,26 +53,27 @@ class _BaseForest(BaseClassifier):
         rngs = spawn_rng(rng, self.n_estimators)
         k = self._resolve_max_features(X.shape[1])
         n = X.shape[0]
-        self._trees = []
+        trees = []
         for tree_rng in rngs:
             if self._bootstrap:
                 idx = tree_rng.integers(0, n, size=n)
                 Xb, yb = X[idx], y[idx]
             else:
                 Xb, yb = X, y
-            self._trees.append(
-                build_tree(
-                    Xb, yb, self.n_classes_,
-                    self.max_depth, 2, self.min_samples_leaf, self.criterion,
-                    max_features=k, rng=tree_rng, extra_random=self._extra_random,
+            trees.append(
+                grow_tree(
+                    Xb, yb, self.criterion, self.max_depth, 2,
+                    self.min_samples_leaf, self.n_classes_, max_features=k,
+                    rng=tree_rng, extra_random=self._extra_random,
                 )
             )
+        self._trees, self._roots = stack_trees(trees)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         acc = np.zeros((X.shape[0], self.n_classes_))
-        for tree in self._trees:
-            acc += tree_predict_proba(tree, X, self.n_classes_)
-        return acc / len(self._trees)
+        for proba in tree_values(self._trees, X, self._roots):
+            acc += proba
+        return acc / self._roots.size
 
 
 @register_classifier

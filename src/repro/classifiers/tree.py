@@ -1,15 +1,43 @@
-"""CART decision tree (gini/entropy) with vectorized split search.
+"""CART trees on flat node arrays, grown by one vectorized split kernel.
 
 Shared by :mod:`repro.classifiers.forest` and
-:mod:`repro.classifiers.boosting`, so the split machinery lives here.
+:mod:`repro.classifiers.boosting`: the classification trees (gini/entropy
+over class counts) and the gradient-boosting regression trees (``"mse"``
+over residual sums) are grown by the same :func:`grow_tree`, searched by
+the same :func:`best_split` and stored as the same :class:`FlatTree`.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.classifiers.base import BaseClassifier, register_classifier
 from repro.exceptions import ValidationError
+from repro.timeseries.batch import DEFAULT_BLOCK_BYTES
+
+#: A split must improve the criterion by more than this to be taken.
+_MIN_GAIN = 1e-12
+#: Upper bound on the ``(n, features, stats)``-sized arrays alive at once in
+#: best_split; feature blocks are sized so they all fit in DEFAULT_BLOCK_BYTES.
+_KERNEL_TEMPORARIES = 10
+
+
+class FlatTree(NamedTuple):
+    """A tree (or a stack of trees) as parallel node arrays.
+
+    Node ``i`` sends a row left when ``x[feature[i]] <= threshold[i]``;
+    leaves have ``feature == left == right == -1``.  ``value`` holds one
+    statistic row per node: class probabilities for classification trees,
+    the mean residual for regression trees.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
 
 def _impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
@@ -21,162 +49,193 @@ def _impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
     return -(p * np.log2(p + 1e-12)).sum(axis=-1)
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "proba")
-
-    def __init__(self, proba):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.proba = proba
-
-
 def best_split(
     X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
+    target: np.ndarray,
     criterion: str,
-    feature_indices: np.ndarray,
+    features: np.ndarray,
     min_leaf: int,
+    n_classes: int = 0,
     rng: np.random.Generator | None = None,
     extra_random: bool = False,
-) -> tuple[int, float, float] | None:
-    """Find the best (feature, threshold, gain) over the given features.
+) -> tuple[int, float] | None:
+    """Best ``(feature, threshold)`` over ``features``, or None.
 
-    ``extra_random`` draws a single random threshold per feature
-    (Extra-Trees style) instead of scanning all candidate thresholds.
-    Returns None when no split improves impurity.
+    ``target`` holds class labels (gini/entropy) or residuals (mse).  One
+    stable argsort ranks every column of the node; prefix statistics along
+    it give the left child's class counts or residual sum for every
+    (split position, feature) pair at once.  The exhaustive search scores
+    every position between distinct values; ``extra_random`` (Extra-Trees)
+    scores one uniform threshold per non-constant feature, drawn in
+    feature order.  Ties keep the first best position and then the first
+    best feature, and a split must gain more than ``_MIN_GAIN``.
     """
     n = X.shape[0]
-    parent_counts = np.bincount(y, minlength=n_classes).astype(float)
-    parent_imp = float(_impurity(parent_counts[None, :], criterion)[0])
-    best: tuple[int, float, float] | None = None
-    best_gain = 1e-12
-    for feat in feature_indices:
-        col = X[:, feat]
+    if criterion == "mse":
+        stats = target
+        total = target.sum()
+        parent = total**2 / n
+    else:
+        stats = np.eye(n_classes)[target]
+        counts = np.bincount(target, minlength=n_classes).astype(float)
+        parent = float(_impurity(counts[None, :], criterion)[0])
+    if extra_random:
+        cols = X[:, features]
+        lo, hi = cols.min(axis=0), cols.max(axis=0)
+        ok = hi > lo
+        features, cols = features[ok], cols[:, ok]
+        thresholds = rng.uniform(lo[ok], hi[ok])
+    n_left = np.arange(1, n, dtype=float)[:, None]
+    column_bytes = n * max(n_classes, 1) * 8 * _KERNEL_TEMPORARIES
+    step = max(1, DEFAULT_BLOCK_BYTES // column_bytes)
+    best, best_gain = None, _MIN_GAIN
+    for start in range(0, features.size, step):
+        block = features[start:start + step]
+        block_cols = cols[:, start:start + step] if extra_random else X[:, block]
+        order = np.argsort(block_cols, axis=0, kind="stable")
+        prefix = np.cumsum(stats[order], axis=0)
         if extra_random:
-            lo, hi = col.min(), col.max()
-            if hi <= lo:
-                continue
-            assert rng is not None
-            thresholds = np.array([rng.uniform(lo, hi)])
-            order = None
+            # Thresholds lie in [min, max), so 1 <= size <= n rows go left.
+            thr = thresholds[start:start + step]
+            size = (block_cols <= thr).sum(axis=0)
+            left = prefix[size - 1, np.arange(block.size)]
+            impurity = _impurity(np.stack([left, counts - left]), criterion)
+            gains = parent - (
+                size / n * impurity[0] + (n - size) / n * impurity[1]
+            )
+            gains[(size < min_leaf) | (n - size < min_leaf)] = -np.inf
+            f = int(np.argmax(gains))
+            if gains[f] > best_gain:
+                best_gain = gains[f]
+                best = (int(block[f]), float(thr[f]))
+            continue
+        prefix = prefix[:-1]
+        sorted_cols = np.take_along_axis(block_cols, order, axis=0)
+        if criterion == "mse":
+            gains = (
+                prefix**2 / n_left + (total - prefix) ** 2 / (n - n_left) - parent
+            )
         else:
-            order = np.argsort(col, kind="stable")
-            sorted_col = col[order]
-            distinct = np.flatnonzero(np.diff(sorted_col) > 0)
-            if distinct.size == 0:
-                continue
-            thresholds = None
-        if extra_random:
-            for thr in thresholds:
-                left_mask = col <= thr
-                n_left = int(left_mask.sum())
-                if n_left < min_leaf or n - n_left < min_leaf:
-                    continue
-                left_counts = np.bincount(y[left_mask], minlength=n_classes).astype(
-                    float
-                )
-                right_counts = parent_counts - left_counts
-                gain = parent_imp - (
-                    n_left / n * float(_impurity(left_counts[None, :], criterion)[0])
-                    + (n - n_left)
-                    / n
-                    * float(_impurity(right_counts[None, :], criterion)[0])
-                )
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (int(feat), float(thr), gain)
-            continue
-        # Exhaustive scan: prefix class counts along the sorted order.
-        sorted_y = y[order]
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), sorted_y] = 1.0
-        prefix = onehot.cumsum(axis=0)
-        # Candidate split after position i (1-indexed sizes).
-        sizes_left = distinct + 1
-        valid = (sizes_left >= min_leaf) & (n - sizes_left >= min_leaf)
-        if not valid.any():
-            continue
-        cand = distinct[valid]
-        left_counts = prefix[cand]
-        right_counts = parent_counts[None, :] - left_counts
-        n_left = (cand + 1).astype(float)
-        n_right = n - n_left
-        child_imp = (
-            n_left * _impurity(left_counts, criterion)
-            + n_right * _impurity(right_counts, criterion)
-        ) / n
-        gains = parent_imp - child_imp
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            sorted_col = col[order]
-            pos = cand[j]
-            thr = 0.5 * (sorted_col[pos] + sorted_col[pos + 1])
-            best_gain = float(gains[j])
-            best = (int(feat), float(thr), best_gain)
+            impurity = _impurity(np.stack([prefix, counts - prefix]), criterion)
+            gains = parent - (n_left * impurity[0] + (n - n_left) * impurity[1]) / n
+        valid = (np.diff(sorted_cols, axis=0) > 0) & (n_left >= min_leaf)
+        valid &= n - n_left >= min_leaf
+        gains[~valid] = -np.inf
+        pos = np.argmax(gains, axis=0)
+        per_feature = gains[pos, np.arange(block.size)]
+        f = int(np.argmax(per_feature))
+        if per_feature[f] > best_gain:
+            best_gain = per_feature[f]
+            p = pos[f]
+            best = (int(block[f]), float(0.5 * (sorted_cols[p, f] + sorted_cols[p + 1, f])))
     return best
 
 
-def build_tree(
+def grow_tree(
     X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
+    target: np.ndarray,
+    criterion: str,
     max_depth: int,
     min_split: int,
     min_leaf: int,
-    criterion: str,
+    n_classes: int = 0,
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
     extra_random: bool = False,
-    depth: int = 0,
-) -> _Node:
-    """Recursively grow a CART tree; returns the root node."""
-    counts = np.bincount(y, minlength=n_classes).astype(float)
-    node = _Node(counts / max(counts.sum(), 1e-12))
-    if (
-        depth >= max_depth
-        or X.shape[0] < min_split
-        or np.unique(y).size == 1
-    ):
-        return node
+) -> FlatTree:
+    """Grow a tree depth-first, left child first, into flat node arrays.
+
+    Classification trees (gini/entropy) stop at pure nodes and store class
+    probabilities; regression trees (mse) store the node's mean residual.
+    Nodes are numbered in the order they are grown, so random feature
+    subsets and thresholds are drawn in the same order as a recursive
+    grower would.
+    """
     n_features = X.shape[1]
-    if max_features is not None and max_features < n_features:
-        assert rng is not None
-        feature_indices = rng.choice(n_features, size=max_features, replace=False)
-    else:
-        feature_indices = np.arange(n_features)
-    split = best_split(
-        X, y, n_classes, criterion, feature_indices, min_leaf,
-        rng=rng, extra_random=extra_random,
+    feature, threshold, left, right, value = [], [], [], [], []
+    stack = [(np.arange(X.shape[0]), 0, -1, left)]
+    while stack:
+        rows, depth, parent, side = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            side[parent] = node
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        t = target[rows]
+        if criterion == "mse":
+            value.append([float(t.mean())])
+            pure = False
+        else:
+            counts = np.bincount(t, minlength=n_classes).astype(float)
+            value.append(counts / max(counts.sum(), 1e-12))
+            pure = np.count_nonzero(counts) == 1
+        if depth >= max_depth or rows.size < min_split or pure:
+            continue
+        if max_features is not None and max_features < n_features:
+            features = rng.choice(n_features, size=max_features, replace=False)
+        else:
+            features = np.arange(n_features)
+        split = best_split(
+            X[rows], t, criterion, features, min_leaf, n_classes, rng, extra_random
+        )
+        if split is None:
+            continue
+        feature[node], threshold[node] = split
+        mask = X[rows, feature[node]] <= threshold[node]
+        stack.append((rows[~mask], depth + 1, node, right))
+        stack.append((rows[mask], depth + 1, node, left))
+    return FlatTree(
+        np.array(feature, dtype=np.intp),
+        np.array(threshold, dtype=float),
+        np.array(left, dtype=np.intp),
+        np.array(right, dtype=np.intp),
+        np.array(value, dtype=float),
     )
-    if split is None:
-        return node
-    feat, thr, _ = split
-    mask = X[:, feat] <= thr
-    node.feature = feat
-    node.threshold = thr
-    node.left = build_tree(
-        X[mask], y[mask], n_classes, max_depth, min_split, min_leaf, criterion,
-        max_features, rng, extra_random, depth + 1,
-    )
-    node.right = build_tree(
-        X[~mask], y[~mask], n_classes, max_depth, min_split, min_leaf, criterion,
-        max_features, rng, extra_random, depth + 1,
-    )
-    return node
 
 
-def tree_predict_proba(node: _Node, X: np.ndarray, n_classes: int) -> np.ndarray:
-    """Probability matrix from a grown tree (iterative traversal)."""
-    out = np.empty((X.shape[0], n_classes))
-    for i, row in enumerate(X):
-        cur = node
-        while cur.left is not None:
-            cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.proba
-    return out
+def stack_trees(trees: list[FlatTree]) -> tuple[FlatTree, np.ndarray]:
+    """One node table holding every tree, plus each tree's root index."""
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
+
+    def children(side: str) -> np.ndarray:
+        return np.concatenate([
+            np.where(getattr(tree, side) >= 0, getattr(tree, side) + root, -1)
+            for tree, root in zip(trees, roots)
+        ])
+
+    table = FlatTree(
+        np.concatenate([tree.feature for tree in trees]),
+        np.concatenate([tree.threshold for tree in trees]),
+        children("left"),
+        children("right"),
+        np.concatenate([tree.value for tree in trees]),
+    )
+    return table, roots
+
+
+def tree_values(
+    tree: FlatTree, X: np.ndarray, roots: np.ndarray | None = None
+) -> np.ndarray:
+    """Leaf values ``(trees, rows, stats)`` of every (tree, row) pair.
+
+    All pairs descend together, one level per step, so a stacked ensemble
+    costs a handful of array operations per level instead of a Python loop
+    per tree and row.
+    """
+    roots = np.zeros(1, dtype=np.intp) if roots is None else roots
+    n = X.shape[0]
+    node = np.repeat(roots, n)
+    row = np.tile(np.arange(n), roots.size)
+    live = np.flatnonzero(tree.left[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = X[row[live], tree.feature[at]] <= tree.threshold[at]
+        node[live] = np.where(go_left, tree.left[at], tree.right[at])
+        live = live[tree.left[node[live]] >= 0]
+    return tree.value[node].reshape(roots.size, n, tree.value.shape[1])
 
 
 @register_classifier
@@ -215,11 +274,10 @@ class DecisionTreeClassifier(BaseClassifier):
         self.criterion = criterion
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self._root = build_tree(
-            X, y, self.n_classes_,
-            self.max_depth, self.min_samples_split, self.min_samples_leaf,
-            self.criterion,
+        self._tree = grow_tree(
+            X, y, self.criterion, self.max_depth, self.min_samples_split,
+            self.min_samples_leaf, self.n_classes_,
         )
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return tree_predict_proba(self._root, X, self.n_classes_)
+        return tree_values(self._tree, X)[0]
