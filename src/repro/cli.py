@@ -243,26 +243,6 @@ def _cmd_list_imputers(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    """Cluster-backend worker: run one manifest, emit JSON-lines results.
-
-    Exit code is the number of failed tasks (0 = all succeeded); the
-    parent treats missing result *lines* — not a non-zero exit — as an
-    infrastructure failure.
-    """
-    from repro.parallel.cluster import run_manifest
-
-    if args.out == "-":
-        return run_manifest(args.manifest, sys.stdout)
-    out_path = pathlib.Path(args.out)
-    tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-    with tmp.open("w") as fh:
-        failures = run_manifest(args.manifest, fh)
-        fh.flush()
-    tmp.replace(out_path)
-    return failures
-
-
 def _load_serving_engine(args):
     """Load an engine for a serving subcommand (parallel + cache wired)."""
     engine = load_engine(args.engine)
@@ -1057,22 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the structured explanation as JSON",
     )
     explain.set_defaults(func=_cmd_explain)
-
-    worker = sub.add_parser(
-        "worker",
-        help="run one cluster-backend task manifest and emit JSON-lines "
-        "results (spawned by the 'cluster' parallel backend)",
-        parents=[common],
-    )
-    worker.add_argument(
-        "--manifest", required=True,
-        help="task manifest JSON written by repro.parallel.cluster",
-    )
-    worker.add_argument(
-        "--out", default="-",
-        help="result JSONL path ('-' = stdout)",
-    )
-    worker.set_defaults(func=_cmd_worker)
     return parser
 
 

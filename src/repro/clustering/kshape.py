@@ -19,18 +19,9 @@ import numpy as np
 
 from repro.exceptions import ClusteringError, ValidationError
 from repro.timeseries.batch import ncc_cross, ncc_rowwise
-from repro.timeseries.correlation import (
-    average_pairwise_correlation,
-)
+from repro.timeseries.correlation import average_pairwise_correlation, znorm
 from repro.timeseries.series import TimeSeries
 from repro.utils.rng import ensure_rng
-
-
-def _znorm(x: np.ndarray) -> np.ndarray:
-    std = x.std()
-    if std == 0:
-        return np.zeros_like(x)
-    return (x - x.mean()) / std
 
 
 def _ncc_shift(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
@@ -121,7 +112,7 @@ class KShape:
         # Sign: orient toward the member average.
         if aligned.mean(axis=0) @ v < 0:
             v = -v
-        return _znorm(v)
+        return znorm(v)
 
     def fit(self, series_list: list[TimeSeries]) -> "KShape":
         """Cluster the series; sets ``labels_`` and ``centroids_``.
@@ -138,7 +129,7 @@ class KShape:
             for s in series_list
         ]
         min_len = min(a.shape[0] for a in arrays)
-        data = np.vstack([_znorm(a[:min_len]) for a in arrays])
+        data = np.vstack([znorm(a[:min_len]) for a in arrays])
         n = data.shape[0]
         k = min(self.n_clusters, n)
         rng = ensure_rng(self.random_state)

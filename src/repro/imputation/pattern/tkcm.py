@@ -14,13 +14,7 @@ import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.imputation.base import BaseImputer, interpolate_rows, register_imputer
-
-
-def _znorm(w: np.ndarray) -> np.ndarray:
-    std = w.std()
-    if std == 0:
-        return np.zeros_like(w)
-    return (w - w.mean()) / std
+from repro.timeseries.correlation import znorm
 
 
 @register_imputer
@@ -77,7 +71,7 @@ class TKCMImputer(BaseImputer):
             anchor_start = gap_start - window
             if anchor_start < 0:
                 continue  # no anchor before the gap; keep interpolation
-            anchor = _znorm(history[anchor_start:gap_start])
+            anchor = znorm(history[anchor_start:gap_start])
             candidates: list[tuple[float, int]] = []
             for pos in range(0, n - window - gap_len + 1):
                 # Skip candidates whose window or continuation overlaps the gap
@@ -87,7 +81,7 @@ class TKCMImputer(BaseImputer):
                     continue
                 if row_mask[span].any():
                     continue
-                cand = _znorm(history[pos : pos + window])
+                cand = znorm(history[pos : pos + window])
                 dist = float(np.linalg.norm(anchor - cand))
                 candidates.append((dist, pos))
             if not candidates:

@@ -210,16 +210,6 @@ def render_top(snapshot: dict, *, color: bool = False, width: int = 78) -> str:
             f"{name}={count}" for name, count in sorted(decisions.items())
         )
         lines.append(f"  backend decisions: {rendered}")
-    workers = {
-        name: stats["workers"]
-        for name, stats in sorted((snapshot.get("backends") or {}).items())
-        if isinstance(stats, dict) and stats.get("workers")
-    }
-    if workers:
-        rendered = "  ".join(
-            f"{name}={int(count)}" for name, count in workers.items()
-        )
-        lines.append(f"  backend workers (peak): {rendered}")
     lines.append(thin)
 
     # -- caches / mix / alerts ------------------------------------------

@@ -528,20 +528,29 @@ class SloTracker:
         return state
 
     def record_latency(
-        self, seconds: float, *, error: bool = False, slices=(), check: bool = True
+        self,
+        seconds: float,
+        *,
+        error: bool = False,
+        rejected: bool = False,
+        slices=(),
+        check: bool = True,
     ) -> list[SloAlert]:
         """Record one served event and re-evaluate every policy.
 
         ``seconds`` is the event latency; ``error=True`` marks the event
         bad for error-rate policies (its latency still feeds the
-        sketches).  ``slices`` are scorecard keys
-        (``imputer:<algorithm>``, ``cluster:<id>``) whose per-slice
-        sketches and violation counts this event contributes to.
+        sketches).  ``rejected=True`` marks a request that got no answer
+        (shed or failed before service): an error that is bad for latency
+        policies too, however quickly it was turned away.  ``slices`` are
+        scorecard keys (``imputer:<algorithm>``, ``cluster:<id>``) whose
+        per-slice sketches and violation counts this event contributes to.
         Returns the alerts newly fired by this event (usually empty).
         Batch callers recording many events per request pass
         ``check=False`` and call :meth:`evaluate` once at the end.
         """
         seconds = float(seconds)
+        error = error or rejected
         now = float(self.clock())
         with self._lock:
             self.n_events += 1
@@ -550,7 +559,7 @@ class SloTracker:
             for name, state in self._states.items():
                 policy = state.policy
                 if policy.kind == "latency":
-                    bad = seconds > policy.threshold
+                    bad = rejected or seconds > policy.threshold
                 else:
                     bad = bool(error)
                 bad_by_policy[name] = bad

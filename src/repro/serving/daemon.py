@@ -20,9 +20,10 @@ batching/backpressure logic lives in the synchronous core, which is what
 the deterministic test harness (:mod:`repro.serving.testing`) drives
 directly without sockets.
 
-Telemetry: per-request latency and per-series service latency feed a
-daemon-level :class:`~repro.observability.slo.SloTracker` (burn-rate
-alerts) and the per-shard sketches fold with
+Telemetry: each request's client latency (arrival to response, or to
+rejection) feeds a daemon-level
+:class:`~repro.observability.slo.SloTracker` (burn-rate alerts), and the
+per-shard service-time sketches fold with
 :meth:`QuantileSketch.merge` into the fleet view surfaced by
 :meth:`ServingDaemon.health` — a full
 :class:`~repro.observability.serving.HealthSnapshot`, so ``repro top``,
@@ -142,6 +143,7 @@ class ServingDaemon:
         self.n_served = 0
         self.n_shed = 0
         self.n_errors = 0
+        self.n_degraded = 0
         self.recommendation_mix: dict[str, int] = {}
         self._count_lock = threading.Lock()
 
@@ -219,32 +221,24 @@ class ServingDaemon:
         with self._cond:
             self.n_submitted += 1
             if not self.started or self._stopping:
-                self.n_shed += 1
-                future.set_result(
-                    RepairResponse.shed_response(
-                        request.id, "daemon is not accepting requests"
-                    )
-                )
-                return future
-            if self._in_flight >= self.max_pending:
-                self.n_shed += 1
+                shed = "daemon is not accepting requests"
+            elif self._in_flight >= self.max_pending:
+                shed = f"daemon overloaded ({self._in_flight} pending)"
                 get_metrics().counter(
                     "repro_serving_shed_total",
                     "Requests shed by admission control",
                     labels={"reason": "max_pending"},
                 ).inc()
-                future.set_result(
-                    RepairResponse.shed_response(
-                        request.id,
-                        f"daemon overloaded ({self._in_flight} pending)",
-                    )
+            else:
+                self._in_flight += 1
+                self._intake.append(
+                    _Entry(request, future, float(self.clock()))
                 )
+                self._cond.notify()
                 return future
-            self._in_flight += 1
-            self._intake.append(
-                _Entry(request, future, float(self.clock()))
-            )
-            self._cond.notify()
+            self.n_shed += 1
+        self.slo.record_latency(0.0, rejected=True, check=False)
+        future.set_result(RepairResponse.shed_response(request.id, shed))
         return future
 
     def submit_many(self, requests) -> list[Future]:
@@ -304,6 +298,8 @@ class ServingDaemon:
         with self._count_lock:
             if response.ok:
                 self.n_served += 1
+                if response.degraded:
+                    self.n_degraded += 1
                 if response.algorithm:
                     self.recommendation_mix[response.algorithm] = (
                         self.recommendation_mix.get(response.algorithm, 0) + 1
@@ -316,7 +312,7 @@ class ServingDaemon:
     def _serve_batch(self, entries: list[_Entry]) -> None:
         requests = [e.request for e in entries]
         try:
-            results, shard_id, elapsed = self.pool.run_batch(requests)
+            results, shard_id, _ = self.pool.run_batch(requests)
         except AllShardsQuarantinedError as exc:
             self._finish_rejected(
                 entries,
@@ -346,8 +342,8 @@ class ServingDaemon:
             return
 
         now = float(self.clock())
-        per_series = elapsed / max(1, len(entries))
         for entry, row in zip(entries, results):
+            latency = now - entry.arrived
             status = int(row.get("status", STATUS_OK))
             if status == STATUS_OK:
                 response = RepairResponse(
@@ -359,7 +355,7 @@ class ServingDaemon:
                     degraded=bool(row.get("degraded", False)),
                     values=row.get("values"),
                     shard=shard_id,
-                    latency_s=now - entry.arrived,
+                    latency_s=latency,
                 )
                 if response.confidence is not None:
                     self.confidence_sketch.update(float(response.confidence))
@@ -370,9 +366,9 @@ class ServingDaemon:
                     status=status,
                 )
             self._count(response)
-            self.request_sketch.update(now - entry.arrived)
+            self.request_sketch.update(latency)
             self.slo.record_latency(
-                per_series,
+                latency,
                 error=status != STATUS_OK,
                 slices=(
                     f"shard:{shard_id}",
@@ -391,10 +387,13 @@ class ServingDaemon:
             "Requests shed by admission control",
             labels={"reason": reason},
         ).inc(len(entries))
+        now = float(self.clock())
         for entry in entries:
             response = factory(entry.request.id, message)
             self._count(response)
-            self.slo.record_latency(0.0, error=True, check=False)
+            self.slo.record_latency(
+                now - entry.arrived, rejected=True, check=False
+            )
             self._resolve(entry, response)
         self.slo.evaluate()
 
@@ -426,6 +425,7 @@ class ServingDaemon:
             n_served = self.n_served
             n_shed = self.n_shed
             n_errors = self.n_errors
+            n_degraded = self.n_degraded
         total_mix = sum(mix.values()) or 1
         return HealthSnapshot(
             generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
@@ -449,10 +449,11 @@ class ServingDaemon:
                 "slo_alerts": self.slo.n_alerts,
                 "shed_requests": n_shed,
                 "error_requests": n_errors,
+                "degraded_requests": n_degraded,
                 "quarantined_shards": len(pool_stats["quarantined"]),
             },
             resilience={
-                "degraded_requests": 0,
+                "degraded_requests": n_degraded,
                 "fallback_requests": 0,
                 "quarantined_members": [
                     f"shard-{i}" for i in pool_stats["quarantined"]
@@ -553,6 +554,11 @@ class SocketServer:
                 await asyncio.gather(*tasks, return_exceptions=True)
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # ``_main`` cancels idle readers on stop; ending cleanly keeps
+            # asyncio's connection callback from logging the cancellation.
+            if not self._stop_event.is_set():
+                raise
         finally:
             self._conn_tasks.discard(conn_task)
             for task in tasks:

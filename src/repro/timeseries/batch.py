@@ -96,7 +96,7 @@ def _clean_array(series) -> np.ndarray:
 
 
 def znorm_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise z-normalization matching the scalar ``_znorm``.
+    """Row-wise z-normalization matching the scalar ``correlation.znorm``.
 
     Constant rows become all-zero rows (the scalar convention: constant
     series correlate 0 with everything).

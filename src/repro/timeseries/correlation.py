@@ -30,7 +30,8 @@ def _as_clean_array(series) -> np.ndarray:
     return arr
 
 
-def _znorm(arr: np.ndarray) -> np.ndarray:
+def znorm(arr: np.ndarray) -> np.ndarray:
+    """Z-normalize one series; a constant series maps to zeros."""
     std = arr.std()
     if std == 0.0:
         return np.zeros_like(arr)
@@ -47,7 +48,7 @@ def cross_correlation(a, b) -> float:
     x = _as_clean_array(a)
     y = _as_clean_array(b)
     n = min(x.shape[0], y.shape[0])
-    x, y = _znorm(x[:n]), _znorm(y[:n])
+    x, y = znorm(x[:n]), znorm(y[:n])
     if not x.any() or not y.any():
         return 0.0
     return float(np.dot(x, y) / n)
@@ -69,7 +70,7 @@ def max_cross_correlation(a, b, max_shift: int | None = None) -> float:
     x = _as_clean_array(a)
     y = _as_clean_array(b)
     n = min(x.shape[0], y.shape[0])
-    x, y = _znorm(x[:n]), _znorm(y[:n])
+    x, y = znorm(x[:n]), znorm(y[:n])
     denom = np.linalg.norm(x) * np.linalg.norm(y)
     if denom == 0.0:
         return 0.0

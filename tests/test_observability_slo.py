@@ -244,6 +244,20 @@ class TestSloTracker:
         assert [a.policy for a in fired] == ["err"]
         assert fired[0].kind == "error_rate"
 
+    def test_rejected_event_is_bad_for_every_policy(self):
+        tracker, _ = _tracker(
+            [
+                SloPolicy.latency("lat", quantile=0.5, threshold_s=10.0),
+                SloPolicy.error_rate("err", budget=0.01),
+            ]
+        )
+        tracker.record_latency(0.001, check=False)
+        tracker.record_latency(0.001, rejected=True, slices=("shard:0",))
+        status = tracker.status()
+        assert [p["fast_bad_fraction"] for p in status["policies"]] == [0.5, 0.5]
+        assert status["slices"]["shard:0"]["errors"] == 1
+        assert status["slices"]["shard:0"]["bad"] == {"lat": 1, "err": 1}
+
     def test_slices_track_per_key_scorecards(self):
         tracker, clock = _tracker()
         for i in range(20):

@@ -12,6 +12,7 @@ front-end, and the HealthSnapshot/Prometheus surface.
 from __future__ import annotations
 
 import json
+import logging
 import socket as socket_mod
 import threading
 import time
@@ -21,6 +22,7 @@ import pytest
 
 from repro.exceptions import ProtocolError, ValidationError
 from repro.observability.resources import get_accounting
+from repro.observability.slo import SloPolicy
 from repro.parallel.shm import active_segments, shm_available
 from repro.serving import (
     LoadGenerator,
@@ -65,6 +67,39 @@ class SlowEngine:
         return [
             s.with_values(np.nan_to_num(s.values)) for s in series_list
         ]
+
+
+class FakeClock:
+    """Injectable daemon clock that moves only when a test moves it."""
+
+    def __init__(self, start: float = 100.0):
+        self.now = start
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+class ClockedEngine(SlowEngine):
+    """Stub whose every batch costs ``service_s`` on an injected clock."""
+
+    def __init__(self, clock, service_s, *, degraded=False, error=None):
+        super().__init__()
+        self.clock = clock
+        self.service_s = service_s
+        self.degraded = degraded
+        self.error = error
+
+    def recommend_many(self, series_list):
+        self.clock.advance(self.service_s)
+        if self.error is not None:
+            raise self.error
+        recs = super().recommend_many(series_list)
+        for rec in recs:
+            rec.degraded = self.degraded
+        return recs
 
 
 # ---------------------------------------------------------------------------
@@ -313,3 +348,103 @@ class TestSocketServer:
         for requests, got in results.values():
             assert {r.id for r in got} == {r.id for r in requests}
             assert all(r.status == 200 for r in got)
+
+
+# ---------------------------------------------------------------------------
+# Truthful telemetry: SLO latency and health counters
+# ---------------------------------------------------------------------------
+class TestDaemonTelemetry:
+    def make_daemon(self, engine, clock, policy):
+        return ServingDaemon(
+            engine,
+            n_shards=1,
+            shard_backend="inline",
+            max_batch=1,
+            max_delay_s=0.001,
+            slo_policies=[policy],
+            clock=clock,
+        )
+
+    def test_slo_sees_client_latency(self):
+        clock = FakeClock()
+        engine = ClockedEngine(clock, service_s=0.5)
+        policy = SloPolicy.latency("lat", quantile=0.5, threshold_s=0.25)
+        with self.make_daemon(engine, clock, policy) as daemon:
+            client = ServingTestClient(daemon)
+            for i in range(4):
+                response = client.request(np.ones(8), request_id=f"r{i}")
+                assert response.latency_s == pytest.approx(0.5)
+            status = daemon.slo.status()
+        assert status["n_events"] == 4
+        assert status["latency_sketch"]["min"] == pytest.approx(0.5)
+        assert status["policies"][0]["fast_bad_fraction"] == 1.0
+
+    def test_rejected_batch_records_time_to_rejection_as_bad(self):
+        clock = FakeClock()
+        engine = ClockedEngine(
+            clock, service_s=0.2, error=RuntimeError("shard down")
+        )
+        policy = SloPolicy.latency("lat", quantile=0.5, threshold_s=60.0)
+        with self.make_daemon(engine, clock, policy) as daemon:
+            arrived = clock()
+            response = ServingTestClient(daemon).request(np.ones(8))
+            rejected_after = clock() - arrived
+            status = daemon.slo.status()
+        assert response.status in (500, 503)
+        assert rejected_after >= 0.2
+        assert status["n_events"] == 1
+        assert status["latency_sketch"]["max"] == pytest.approx(rejected_after)
+        # Far under the 60 s threshold, yet a rejection is never good.
+        assert status["policies"][0]["fast_bad_fraction"] == 1.0
+
+    def test_admission_shed_counts_bad_for_latency(self):
+        clock = FakeClock()
+        policy = SloPolicy.latency("lat", quantile=0.5, threshold_s=60.0)
+        daemon = self.make_daemon(ClockedEngine(clock, 0.0), clock, policy)
+        response = daemon.submit(
+            RepairRequest(id="early", values=np.ones(8))
+        ).result(timeout=5)
+        status = daemon.slo.status()
+        assert response.status == 503
+        assert status["n_events"] == 1
+        assert status["policies"][0]["fast_bad_fraction"] == 1.0
+
+    def test_health_counts_degraded_responses(self):
+        clock = FakeClock()
+        engine = ClockedEngine(clock, service_s=0.01, degraded=True)
+        policy = SloPolicy.latency("lat", quantile=0.5, threshold_s=1.0)
+        with self.make_daemon(engine, clock, policy) as daemon:
+            client = ServingTestClient(daemon)
+            degraded = [
+                client.request(np.ones(8), request_id=f"d{i}")
+                for i in range(3)
+            ]
+            engine.degraded = False
+            clean = [
+                client.request(np.ones(8), request_id=f"c{i}")
+                for i in range(2)
+            ]
+            snapshot = daemon.health()
+        assert all(r.status == 200 and r.degraded for r in degraded)
+        assert not any(r.degraded for r in clean)
+        assert snapshot.resilience["degraded_requests"] == 3
+        assert snapshot.alerts["degraded_requests"] == 3
+        assert "repro_serving_degraded_total 3" in snapshot.to_prometheus()
+
+
+class TestSocketServerShutdown:
+    def test_stop_with_idle_connection_logs_nothing(self, caplog):
+        with ServingDaemon(
+            SlowEngine(), n_shards=1, shard_backend="inline"
+        ) as daemon:
+            server = SocketServer(daemon, port=0).start()
+            with socket_mod.create_connection(server.address):
+                deadline = time.monotonic() + 10.0
+                while not server._conn_tasks and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert server._conn_tasks, "connection never reached a handler"
+                with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                    server.stop()
+        assert not server._thread.is_alive()
+        logged = [r for r in caplog.records if r.name.startswith("asyncio")]
+        assert logged == [], [r.getMessage() for r in logged]
